@@ -12,6 +12,7 @@ package ddgms_test
 // qualitative shapes (who wins, by what factor) that must hold.
 
 import (
+	"context"
 	"io"
 	"net"
 	"os"
@@ -70,7 +71,7 @@ func scanEngine(b *testing.B, patients int) *cube.Engine {
 	e := cube.NewEngine(p.Warehouse(), cube.WithAggregateCache(false))
 	// Warm the memoised attribute columns and bitmaps so iterations
 	// measure aggregation, not one-off materialisation.
-	if _, err := e.Execute(experiments.Fig5Query()); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), experiments.Fig5Query()); err != nil {
 		b.Fatal(err)
 	}
 	return e
@@ -158,7 +159,7 @@ func BenchmarkFig4CrossTab(b *testing.B) {
 	q := experiments.Fig4Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,10 +176,10 @@ func BenchmarkFig5DrillDown(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(coarse); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,10 +196,10 @@ func BenchmarkFig6HTYears(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(coarse); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,20 +324,20 @@ func kernelEngine(b *testing.B, vectorized bool) *cube.Engine {
 	p := platformFor(b, 900)
 	e := cube.NewEngine(p.Warehouse(),
 		cube.WithAggregateCache(false), cube.WithVectorized(vectorized))
-	if _, err := e.Execute(experiments.Fig5Query()); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), experiments.Fig5Query()); err != nil {
 		b.Fatal(err)
 	}
 	return e
 }
 
-// BenchmarkCubeExecuteVectorized measures cube.Engine.Execute with the
+// BenchmarkCubeExecuteVectorized measures cube.Engine.ExecuteCtx with the
 // grouping scan on the coded kernel (the default).
 func BenchmarkCubeExecuteVectorized(b *testing.B) {
 	e := kernelEngine(b, true)
 	q := experiments.Fig5Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,7 +350,7 @@ func BenchmarkCubeExecuteLegacy(b *testing.B) {
 	q := experiments.Fig5Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,14 +378,14 @@ func BenchmarkWarehouseVsFlat(b *testing.B) {
 		}
 		b.Run(benchName("cube", patients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Execute(cq); err != nil {
+				if _, err := e.ExecuteCtx(context.Background(), cq); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(benchName("flat", patients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := flatquery.Execute(flat, fq); err != nil {
+				if _, err := flatquery.ExecuteCtx(context.Background(), flat, fq); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -402,12 +403,12 @@ func BenchmarkDGSQLBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	const q = "SELECT AgeBand10, Gender, distinct(PatientID) AS patients FROM visits WHERE DiabetesStatus = 'Yes' GROUP BY AgeBand10, Gender"
-	if _, err := db.Query(q); err != nil {
+	if _, err := db.QueryCtx(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,15 +442,15 @@ func BenchmarkLattice(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil { // warm columns (+cache)
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil { // warm columns (+cache)
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Execute(fine); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.Execute(coarse); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -465,12 +466,12 @@ func BenchmarkBitmapSlicer(b *testing.B) {
 	q := experiments.Fig6Query()
 	run := func(b *testing.B, bitmaps bool) {
 		e := cube.NewEngine(p.Warehouse(), cube.WithBitmapIndex(bitmaps), cube.WithAggregateCache(false))
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Execute(q); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -536,12 +537,12 @@ func BenchmarkMDX(b *testing.B) {
 		{[PersonalInformation].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]
 		WHERE ([MedicalCondition].[DiabetesStatus].[Yes], [Measures].[PatientCount])`
-	if _, err := p.QueryMDX(src); err != nil {
+	if _, err := p.QueryMDXCtx(context.Background(), src); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.QueryMDX(src); err != nil {
+		if _, err := p.QueryMDXCtx(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -653,7 +654,7 @@ func BenchmarkRefreshIncremental100(b *testing.B) {
 	// Warm the lattice so iterations measure steady-state delta
 	// maintenance of live aggregates, as in follow mode.
 	m.RLock()
-	_, err = m.Engine().Execute(experiments.Fig5Query())
+	_, err = m.Engine().ExecuteCtx(context.Background(), experiments.Fig5Query())
 	m.RUnlock()
 	if err != nil {
 		b.Fatal(err)

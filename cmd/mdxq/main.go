@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	defer p.Close()
 
 	runOne := func(src string) {
-		cs, err := p.QueryMDX(src)
+		cs, err := p.QueryMDXCtx(context.Background(), src)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mdxq:", err)
 			return

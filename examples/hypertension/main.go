@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 		Slicers: []cube.Slicer{{Ref: core.RefHTStatus, Values: []value.Value{value.Str("Yes")}}},
 		Measure: core.PatientCountMeasure(),
 	}
-	cs, err := p.Query(q)
+	cs, err := p.QueryCtx(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fcs, err := p.Query(fine)
+	fcs, err := p.QueryCtx(context.Background(), fine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func main() {
 	// Candidate substitute: RR variability (cardiac autonomic function)
 	// is recorded for everyone; compare its band distribution for
 	// hypertensive vs normotensive elderly patients.
-	cs2, err := p.Query(cube.Query{
+	cs2, err := p.QueryCtx(context.Background(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefRRVarBand},
 		Cols:    []cube.AttrRef{core.RefHTStatus},
 		Slicers: []cube.Slicer{{Ref: core.RefAgeBandTbl, Values: []value.Value{value.Str("60-80"), value.Str(">80")}}},

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -33,7 +34,7 @@ func main() {
 
 	// 3. Ask a multivariate question in MDX: how many distinct patients
 	//    are diabetic, by age band and gender?
-	cs, err := p.QueryMDX(`
+	cs, err := p.QueryMDXCtx(context.Background(), `
 		SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
 		       NON EMPTY {[PersonalInformation].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]

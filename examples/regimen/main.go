@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	// Estimate exposure sizes from the warehouse: how many patients fall
 	// in each risk group an intervention would target?
 	patientsWhere := func(ref cube.AttrRef, val string) float64 {
-		cs, err := p.Query(cube.Query{
+		cs, err := p.QueryCtx(context.Background(), cube.Query{
 			Rows:    []cube.AttrRef{ref},
 			Slicers: []cube.Slicer{{Ref: ref, Values: []value.Value{value.Str(val)}}},
 			Measure: core.PatientCountMeasure(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,10 +36,10 @@ func TestPhaseOrderEnforced(t *testing.T) {
 	if err := p.BuildWarehouse(NewDiScRiBuilder()); err == nil {
 		t.Error("BuildWarehouse before Transform must fail")
 	}
-	if _, err := p.Query(cube.Query{}); err == nil {
+	if _, err := p.QueryCtx(context.Background(), cube.Query{}); err == nil {
 		t.Error("Query before warehouse must fail")
 	}
-	if _, err := p.QueryMDX("SELECT {[X].[Y].MEMBERS} ON COLUMNS FROM [MedicalMeasures]"); err == nil {
+	if _, err := p.QueryMDXCtx(context.Background(), "SELECT {[X].[Y].MEMBERS} ON COLUMNS FROM [MedicalMeasures]"); err == nil {
 		t.Error("MDX before warehouse must fail")
 	}
 	if _, err := p.Mine(nil, "X"); err == nil {
@@ -84,7 +85,7 @@ func TestDiScRiPlatformEndToEnd(t *testing.T) {
 
 func TestDiScRiOLAPQuery(t *testing.T) {
 	p := smallPlatform(t)
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.Background(), cube.Query{
 		Rows:    []cube.AttrRef{RefAgeBand10},
 		Cols:    []cube.AttrRef{RefGender},
 		Slicers: []cube.Slicer{{Ref: RefDiabetes, Values: []value.Value{value.Str("Yes")}}},
@@ -108,7 +109,7 @@ func TestDiScRiOLAPQuery(t *testing.T) {
 
 func TestDiScRiMDXQuery(t *testing.T) {
 	p := smallPlatform(t)
-	cs, err := p.QueryMDX(`SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := p.QueryMDXCtx(context.Background(), `SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
 		NON EMPTY {[PersonalInformation].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]
 		WHERE ([MedicalCondition].[DiabetesStatus].[Yes], [Measures].[PatientCount])`)
@@ -179,7 +180,7 @@ func TestDiScRiMine(t *testing.T) {
 
 func TestFBGTrendDimension(t *testing.T) {
 	p := smallPlatform(t)
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.Background(), cube.Query{
 		Rows:    []cube.AttrRef{RefFBGTrend},
 		Cols:    []cube.AttrRef{RefDiabetes},
 		Measure: cube.MeasureRef{Agg: storage.CountAgg},
@@ -262,7 +263,7 @@ func TestFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.Background(), cube.Query{
 		Rows:    []cube.AttrRef{{Dim: "ClinicianReview", Attr: "Flag"}},
 		Measure: cube.MeasureRef{Agg: storage.CountAgg},
 	})

@@ -20,7 +20,6 @@ import (
 	"github.com/ddgms/ddgms/internal/kb"
 	"github.com/ddgms/ddgms/internal/mdx"
 	"github.com/ddgms/ddgms/internal/mining"
-	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/optimize"
 	"github.com/ddgms/ddgms/internal/predict"
@@ -203,16 +202,13 @@ func (p *Platform) RegisterMeasure(name string, m cube.MeasureRef) error {
 	return nil
 }
 
-// Query executes a cube query (the OLAP reporting feature). In follow
+// QueryCtx executes a cube query (the OLAP reporting feature) under a
+// caller context: the kernel scan checks ctx cooperatively and charges
+// any govern.Budget it carries, so cancelled or over-budget queries stop
+// mid-scan and release the follower lock. A span the context carries
+// (obs.ContextWithSpan) receives the engine's stage spans. In follow
 // mode it holds the maintainer's read lock so refresh batches cannot
 // swap the warehouse mid-query.
-func (p *Platform) Query(q cube.Query) (*cube.CellSet, error) {
-	return p.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query under a caller context: the kernel scan checks ctx
-// cooperatively and charges any govern.Budget it carries, so cancelled
-// or over-budget queries stop mid-scan and release the follower lock.
 func (p *Platform) QueryCtx(ctx context.Context, q cube.Query) (*cube.CellSet, error) {
 	if p.follower != nil {
 		p.follower.RLock()
@@ -224,25 +220,10 @@ func (p *Platform) QueryCtx(ctx context.Context, q cube.Query) (*cube.CellSet, e
 	return p.engine.ExecuteCtx(ctx, q)
 }
 
-// QueryMDX executes an MDX query string.
-func (p *Platform) QueryMDX(src string) (*cube.CellSet, error) {
-	return p.QueryMDXTracedCtx(context.Background(), src, nil)
-}
-
-// QueryMDXCtx is QueryMDX under a caller context (see QueryCtx).
+// QueryMDXCtx executes an MDX query string under a caller context (see
+// QueryCtx). This is the path behind the server's /query endpoint; for
+// ?trace=1 the context carries the request's root span.
 func (p *Platform) QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error) {
-	return p.QueryMDXTracedCtx(ctx, src, nil)
-}
-
-// QueryMDXTraced executes an MDX query string with stage spans hung
-// under sp — the path behind the server's ?trace=1 flag. A nil sp
-// traces nothing.
-func (p *Platform) QueryMDXTraced(src string, sp *obs.Span) (*cube.CellSet, error) {
-	return p.QueryMDXTracedCtx(context.Background(), src, sp)
-}
-
-// QueryMDXTracedCtx combines QueryMDXCtx and QueryMDXTraced.
-func (p *Platform) QueryMDXTracedCtx(ctx context.Context, src string, sp *obs.Span) (*cube.CellSet, error) {
 	if p.follower != nil {
 		p.follower.RLock()
 		defer p.follower.RUnlock()
@@ -250,7 +231,7 @@ func (p *Platform) QueryMDXTracedCtx(ctx context.Context, src string, sp *obs.Sp
 	if p.eval == nil {
 		return nil, fmt.Errorf("core: warehouse not built")
 	}
-	return p.eval.QueryTracedCtx(ctx, src, sp)
+	return p.eval.QueryCtx(ctx, src)
 }
 
 // PatientRecord is the OLTP-reporting half of the Reporting feature: a

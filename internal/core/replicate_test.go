@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -67,10 +68,10 @@ func snapshotBytes(t *testing.T, p *Platform) []byte {
 // figure renders the Fig 5-style crosstab an analyst would read.
 func figure(t *testing.T, p *Platform) []byte {
 	t.Helper()
-	cs, err := p.QueryMDX(`SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := p.QueryMDXCtx(context.Background(), `SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
 		{[MedicalCondition].[DiabetesStatus].MEMBERS} ON ROWS FROM [MedicalMeasures]`)
 	if err != nil {
-		t.Fatalf("QueryMDX: %v", err)
+		t.Fatalf("QueryMDXCtx: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := viz.CrossTab(&buf, "attendances", cs); err != nil {

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestConcurrentExecute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				q := queries[(w+i)%len(queries)]
-				cs, err := e.Execute(q)
+				cs, err := e.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -47,7 +48,7 @@ func TestConcurrentResultsConsistent(t *testing.T) {
 	s := testStar(t)
 	serial := NewEngine(s)
 	q := Query{Rows: []AttrRef{refBand10}, Cols: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}
-	want, err := serial.Execute(q)
+	want, err := serial.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestConcurrentResultsConsistent(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			cs, err := concurrent.Execute(q)
+			cs, err := concurrent.ExecuteCtx(context.Background(), q)
 			if err != nil {
 				t.Error(err)
 				return

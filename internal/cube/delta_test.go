@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/star"
@@ -91,11 +92,11 @@ func runBattery(t *testing.T, label string, maintained *Engine, schema *star.Sch
 	t.Helper()
 	fresh := NewEngine(schema)
 	for qi, q := range deltaQueries {
-		got, err := maintained.Execute(q)
+		got, err := maintained.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: maintained query %d: %v", label, qi, err)
 		}
-		want, err := fresh.Execute(q)
+		want, err := fresh.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: fresh query %d: %v", label, qi, err)
 		}
@@ -123,7 +124,7 @@ func TestApplyDeltaMatchesFreshEngine(t *testing.T) {
 	// are never latticed (non-invertible), so they exercise the
 	// plain-rescan path below.
 	for qi, q := range deltaQueries {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			t.Fatalf("warm query %d: %v", qi, err)
 		}
 	}
@@ -194,7 +195,7 @@ func TestInvalidateAttrTargeted(t *testing.T) {
 			Measure: MeasureRef{Agg: storage.CountAgg}},
 	}
 	for qi, q := range warm {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			t.Fatalf("warm query %d: %v", qi, err)
 		}
 	}
@@ -225,7 +226,7 @@ func TestInvalidateAttrTargeted(t *testing.T) {
 		t.Fatalf("lattice holds %d entries after InvalidateAttr(Gender), want 1", after)
 	}
 	// Queries over the invalidated attribute still answer correctly.
-	cs, err := e.Execute(warm[0])
+	cs, err := e.ExecuteCtx(context.Background(), warm[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestInvalidateDimensionTargeted(t *testing.T) {
 		{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.CountAgg}},
 	}
 	for qi, q := range warm {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			t.Fatalf("warm query %d: %v", qi, err)
 		}
 	}
@@ -266,7 +267,7 @@ func TestInvalidateDimensionTargeted(t *testing.T) {
 	if _, ok := e.codedCols[refDia]; !ok {
 		t.Fatal("Condition coded column was collaterally dropped")
 	}
-	cs, err := e.Execute(warm[1])
+	cs, err := e.ExecuteCtx(context.Background(), warm[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,30 +281,18 @@ func (e *Engine) measureColumn(m MeasureRef) ([]value.Value, error) {
 	}
 }
 
-// Execute runs a query and returns its cell set. The grouping scan runs on
-// the shared execution kernel (internal/exec): axis columns are
+// ExecuteCtx runs a query and returns its cell set. The grouping scan
+// runs on the shared execution kernel (internal/exec): axis columns are
 // dictionary-encoded once and cached, groups are keyed on packed integer
 // codes, and the slicer bitmap feeds the kernel as its row filter.
-func (e *Engine) Execute(q Query) (*CellSet, error) {
-	return e.ExecuteTracedCtx(context.Background(), q, nil)
-}
-
-// ExecuteCtx is Execute under a caller context: the kernel scan checks
-// ctx cooperatively and charges any govern.Budget it carries, so a
-// cancelled or over-budget query stops mid-scan with no partial result.
+//
+// The kernel scan checks ctx cooperatively and charges any govern.Budget
+// it carries, so a cancelled or over-budget query stops mid-scan with no
+// partial result. When ctx carries a span (obs.ContextWithSpan), the
+// stages (cube.encode, cube.filter, cube.group, cube.assemble) hang
+// under it; without one each stage pays one nil check.
 func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
-	return e.ExecuteTracedCtx(ctx, q, nil)
-}
-
-// ExecuteTraced is Execute with per-stage spans (cube.encode,
-// cube.filter, cube.group, cube.assemble) hung under sp. A nil sp is
-// the untraced fast path — each stage pays one nil check.
-func (e *Engine) ExecuteTraced(q Query, sp *obs.Span) (*CellSet, error) {
-	return e.ExecuteTracedCtx(context.Background(), q, sp)
-}
-
-// ExecuteTracedCtx combines ExecuteCtx and ExecuteTraced.
-func (e *Engine) ExecuteTracedCtx(ctx context.Context, q Query, sp *obs.Span) (*CellSet, error) {
+	sp := obs.SpanFromContext(ctx)
 	metricQueries.Inc()
 	encode := sp.Start("cube.encode")
 	axes := append(append([]AttrRef{}, q.Rows...), q.Cols...)
@@ -367,13 +355,7 @@ func (e *Engine) ExecuteTracedCtx(ctx context.Context, q Query, sp *obs.Span) (*
 	}
 	groupSp := sp.Start("cube.group")
 	// Full-slice append: never mutate the shared opts backing array.
-	opts := e.execOpts[:len(e.execOpts):len(e.execOpts)]
-	if groupSp != nil {
-		opts = append(opts, exec.WithSpan(groupSp))
-	}
-	if ctx != nil {
-		opts = append(opts, exec.WithContext(ctx))
-	}
+	opts := append(e.execOpts[:len(e.execOpts):len(e.execOpts)], exec.WithContext(obs.ContextWithSpan(ctx, groupSp)))
 	groups, err := exec.GroupBy(in, opts...)
 	groupSp.Annotate("groups", len(groups))
 	groupSp.End()

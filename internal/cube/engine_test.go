@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/star"
@@ -112,7 +113,7 @@ func labels(cs *CellSet, rows bool) []string {
 
 func TestCountByGender(t *testing.T) {
 	e := NewEngine(testStar(t))
-	cs, err := e.Execute(Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}})
+	cs, err := e.ExecuteCtx(context.Background(), Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCrossTabWithSlicer(t *testing.T) {
 		Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes")}}},
 		Measure: MeasureRef{Agg: storage.DistinctAgg, Attr: &refPID},
 	}
-	cs, err := e.Execute(q)
+	cs, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCrossTabWithSlicer(t *testing.T) {
 
 func TestAvgMeasure(t *testing.T) {
 	e := NewEngine(testStar(t))
-	cs, err := e.Execute(Query{
+	cs, err := e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{refDia},
 		Measure: MeasureRef{Agg: storage.AvgAgg, Column: "FBG"},
 	})
@@ -190,7 +191,7 @@ func TestMinMaxSum(t *testing.T) {
 		{storage.MaxAgg, 8.0},
 		{storage.SumAgg, 7.2 + 7.8 + 7.5 + 8.0},
 	} {
-		cs, err := e.Execute(Query{
+		cs, err := e.ExecuteCtx(context.Background(), Query{
 			Rows:    []AttrRef{refDia},
 			Measure: MeasureRef{Agg: tc.agg, Column: "FBG"},
 		})
@@ -207,7 +208,7 @@ func TestIncludeMissing(t *testing.T) {
 	e := NewEngine(testStar(t))
 	// Fact 7 has NA Diabetes: dropped by default, kept with IncludeMissing.
 	q := Query{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.CountAgg}}
-	cs, err := e.Execute(q)
+	cs, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestIncludeMissing(t *testing.T) {
 		t.Errorf("default total = %g, want 6", total)
 	}
 	q.IncludeMissing = true
-	cs, err = e.Execute(q)
+	cs, err = e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestIncludeMissing(t *testing.T) {
 func TestMemberOrder(t *testing.T) {
 	e := NewEngine(testStar(t))
 	e.SetMemberOrder(refBand10, []value.Value{value.Str("70-80"), value.Str("40-60")})
-	cs, err := e.Execute(Query{Rows: []AttrRef{refBand10}, Measure: MeasureRef{Agg: storage.CountAgg}})
+	cs, err := e.ExecuteCtx(context.Background(), Query{Rows: []AttrRef{refBand10}, Measure: MeasureRef{Agg: storage.CountAgg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestQueryErrors(t *testing.T) {
 		{Rows: []AttrRef{refGender}, Slicers: []Slicer{{Ref: refDia}}, Measure: MeasureRef{Agg: storage.CountAgg}}, // empty slicer
 	}
 	for i, q := range cases {
-		if _, err := e.Execute(q); err == nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -274,11 +275,11 @@ func TestBitmapOnOffAgree(t *testing.T) {
 		Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes"), value.Str("No")}}},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	}
-	a, err := on.Execute(q)
+	a, err := on.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := off.Execute(q)
+	b, err := off.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestBitmapOnOffAgree(t *testing.T) {
 
 func TestPivot(t *testing.T) {
 	e := NewEngine(testStar(t))
-	cs, err := e.Execute(Query{
+	cs, err := e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{refBand10},
 		Cols:    []AttrRef{refGender},
 		Measure: MeasureRef{Agg: storage.CountAgg},
@@ -325,7 +326,7 @@ func TestDrillDownRollUp(t *testing.T) {
 	if fine.Rows[0] != refBand5 {
 		t.Fatalf("drill-down row attr = %v", fine.Rows[0])
 	}
-	cs, err := e.Execute(fine)
+	cs, err := e.ExecuteCtx(context.Background(), fine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestSliceDiceUnslice(t *testing.T) {
 	if len(base.Slicers) != 0 {
 		t.Error("Slice modified the original query")
 	}
-	cs, err := e.Execute(sliced)
+	cs, err := e.ExecuteCtx(context.Background(), sliced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestSliceDiceUnslice(t *testing.T) {
 		t.Errorf("sliced total = %g, want 4", cs.Total())
 	}
 	diced := Dice(sliced, Slicer{Ref: refBand10, Values: []value.Value{value.Str("70-80")}})
-	cs, err = e.Execute(diced)
+	cs, err = e.ExecuteCtx(context.Background(), diced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestInvalidateCachesAfterFeedback(t *testing.T) {
 	s := testStar(t)
 	e := NewEngine(s)
 	// Warm caches.
-	if _, err := e.Execute(Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}); err != nil {
 		t.Fatal(err)
 	}
 	err := s.AddFeedbackDimension("Flag",
@@ -403,7 +404,7 @@ func TestInvalidateCachesAfterFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.InvalidateCaches()
-	cs, err := e.Execute(Query{
+	cs, err := e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{{Dim: "Flag", Attr: "Flag"}},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	})

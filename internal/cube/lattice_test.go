@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -16,14 +17,14 @@ func TestLatticeExactHit(t *testing.T) {
 		Cols:    []AttrRef{refGender},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	}
-	a, err := e.Execute(q)
+	a, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.LatticeSize() != 1 {
 		t.Fatalf("lattice size = %d", e.LatticeSize())
 	}
-	b, err := e.Execute(q)
+	b, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestLatticeExactHit(t *testing.T) {
 		t.Error("cached result disagrees with original")
 	}
 	// A permuted query (axes swapped) shares the entry.
-	if _, err := e.Execute(Query{Rows: []AttrRef{refGender}, Cols: []AttrRef{refBand10},
+	if _, err := e.ExecuteCtx(context.Background(), Query{Rows: []AttrRef{refGender}, Cols: []AttrRef{refBand10},
 		Measure: MeasureRef{Agg: storage.CountAgg}}); err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +48,13 @@ func TestLatticeRollUpFromFiner(t *testing.T) {
 		Cols:    []AttrRef{refGender},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	}
-	if _, err := e.Execute(fine); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 		t.Fatal(err)
 	}
 	// Now a coarser query over a subset of those attrs must be answerable
 	// from the lattice (same measure, no slicers).
 	coarse := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}
-	cs, err := e.Execute(coarse)
+	cs, err := e.ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestLatticeRollUpFromFiner(t *testing.T) {
 		t.Errorf("roll-up created a new scan entry: size = %d", e.LatticeSize())
 	}
 	// Roll-up result must match a fresh engine's scan.
-	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).Execute(coarse)
+	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestLatticeRollUpHandlesMissing(t *testing.T) {
 		Rows:    []AttrRef{refDia, refGender},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	}
-	if _, err := e.Execute(fine); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 		t.Fatal(err)
 	}
 	coarse := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}
-	cs, err := e.Execute(coarse)
+	cs, err := e.ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestLatticeRollUpHandlesMissing(t *testing.T) {
 func TestLatticeRespectsSlicers(t *testing.T) {
 	e := NewEngine(testStar(t))
 	unsliced := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}}
-	if _, err := e.Execute(unsliced); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), unsliced); err != nil {
 		t.Fatal(err)
 	}
 	sliced := Slice(unsliced, refDia, value.Str("Yes"))
-	cs, err := e.Execute(sliced)
+	cs, err := e.ExecuteCtx(context.Background(), sliced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestLatticeSkipsNonAdditive(t *testing.T) {
 	e := NewEngine(testStar(t))
 	// Min/max need the raw rows and must never be cached.
 	q := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.MaxAgg, Column: "FBG"}}
-	if _, err := e.Execute(q); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if e.LatticeSize() != 0 {
@@ -127,7 +128,7 @@ func TestLatticeSkipsNonAdditive(t *testing.T) {
 	}
 	// Distinct is also non-additive.
 	q2 := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.DistinctAgg, Attr: &refPID}}
-	if _, err := e.Execute(q2); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), q2); err != nil {
 		t.Fatal(err)
 	}
 	if e.LatticeSize() != 0 {
@@ -140,21 +141,21 @@ func TestLatticeAvgRollUp(t *testing.T) {
 	// rolled up exactly.
 	e := NewEngine(testStar(t))
 	fine := Query{Rows: []AttrRef{refBand5, refGender}, Measure: MeasureRef{Agg: storage.AvgAgg, Column: "FBG"}}
-	if _, err := e.Execute(fine); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 		t.Fatal(err)
 	}
 	if e.LatticeSize() != 1 {
 		t.Fatalf("avg not cached: size = %d", e.LatticeSize())
 	}
 	coarse := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.AvgAgg, Column: "FBG"}}
-	cs, err := e.Execute(coarse)
+	cs, err := e.ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.LatticeSize() != 1 {
 		t.Errorf("avg roll-up created a scan entry: size = %d", e.LatticeSize())
 	}
-	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).Execute(coarse)
+	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +175,15 @@ func TestLatticeAvgRollUp(t *testing.T) {
 func TestLatticeSumRollUp(t *testing.T) {
 	e := NewEngine(testStar(t))
 	fine := Query{Rows: []AttrRef{refBand5, refGender}, Measure: MeasureRef{Agg: storage.SumAgg, Column: "FBG"}}
-	if _, err := e.Execute(fine); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 		t.Fatal(err)
 	}
 	coarse := Query{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.SumAgg, Column: "FBG"}}
-	cs, err := e.Execute(coarse)
+	cs, err := e.ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).Execute(coarse)
+	fresh, err := NewEngine(testStar(t), WithAggregateCache(false)).ExecuteCtx(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestQuickLatticeAgreesWithScan(t *testing.T) {
 			{Rows: []AttrRef{refA}, Measure: MeasureRef{Agg: storage.SumAgg, Column: "M"}},
 		}
 		for _, q := range queries {
-			a, err1 := cached.Execute(q)
-			b, err2 := scan.Execute(q)
+			a, err1 := cached.ExecuteCtx(context.Background(), q)
+			b, err2 := scan.ExecuteCtx(context.Background(), q)
 			if err1 != nil || err2 != nil {
 				return false
 			}

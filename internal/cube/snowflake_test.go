@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/star"
@@ -59,7 +60,7 @@ func TestSnowflakeQueryThroughOutrigger(t *testing.T) {
 
 	e := NewEngine(s)
 	remote := AttrRef{Dim: "Personal", Attr: "Locality.Remoteness"}
-	cs, err := e.Execute(Query{
+	cs, err := e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{remote},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	})
@@ -74,7 +75,7 @@ func TestSnowflakeQueryThroughOutrigger(t *testing.T) {
 	}
 
 	// Slicer through the outrigger.
-	cs, err = e.Execute(Query{
+	cs, err = e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{{Dim: "Personal", Attr: "Gender"}},
 		Slicers: []Slicer{{Ref: remote, Values: []value.Value{value.Str("non-urban")}}},
 		Measure: MeasureRef{Agg: storage.AvgAgg, Column: "FBG"},
@@ -86,7 +87,7 @@ func TestSnowflakeQueryThroughOutrigger(t *testing.T) {
 		t.Errorf("non-urban F avg = %v", v)
 	}
 	// Bad inner attribute surfaces as unknown attribute.
-	_, err = e.Execute(Query{
+	_, err = e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{{Dim: "Personal", Attr: "Locality.Nope"}},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	})

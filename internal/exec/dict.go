@@ -24,9 +24,10 @@
 //
 // The kernel is instrumented for internal/obs: per-invocation counters
 // (rows scanned, groups produced, path taken, worker fan-out, merge
-// time) and, when WithSpan supplies a parent, exec.scan / exec.merge /
-// exec.sort phase spans. Recording is per invocation, never per row, so
-// the hot loops are untouched.
+// time) and, when the WithContext context carries a parent span
+// (obs.ContextWithSpan), exec.scan / exec.merge / exec.sort phase
+// spans. Recording is per invocation, never per row, so the hot loops
+// are untouched.
 package exec
 
 import (

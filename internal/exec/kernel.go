@@ -23,15 +23,14 @@ type Options struct {
 	Vectorized bool
 	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// Span, when non-nil, receives child spans for the kernel phases
-	// (exec.scan, exec.merge, exec.sort). Nil — the default — costs one
-	// nil check per phase.
-	Span *obs.Span
 	// Ctx, when non-nil, is checked cooperatively every cancelCheckRows
 	// rows by every scan worker (and between merge batches), so a
 	// cancelled query releases its CPU within one check interval instead
 	// of running to completion. The context also carries the optional
-	// per-query resource budget (govern.WithBudget).
+	// per-query resource budget (govern.WithBudget) and the optional
+	// parent span (obs.ContextWithSpan) that receives the kernel phase
+	// spans (exec.scan, exec.merge, exec.sort); without one each phase
+	// costs one nil check.
 	Ctx context.Context
 }
 
@@ -46,14 +45,11 @@ func WithVectorized(on bool) Option { return func(o *Options) { o.Vectorized = o
 // the pool by GOMAXPROCS.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
-// WithSpan hangs the kernel's phase spans (exec.scan, exec.merge,
-// exec.sort) under a parent trace span.
-func WithSpan(sp *obs.Span) Option { return func(o *Options) { o.Span = sp } }
-
 // WithContext threads the caller's context into the kernel for
-// cooperative cancellation and budget enforcement. All scan workers
-// share one check cadence (cancelCheckRows), so cancellation latency is
-// bounded by a few thousand rows of work per worker, not by query size.
+// cooperative cancellation, budget enforcement and tracing. All scan
+// workers share one check cadence (cancelCheckRows), so cancellation
+// latency is bounded by a few thousand rows of work per worker, not by
+// query size.
 func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx = ctx } }
 
 func buildOptions(opts []Option) Options {
@@ -231,6 +227,7 @@ func GroupBy(in GroupInput, opts ...Option) ([]Group, error) {
 			return nil, fmt.Errorf("exec: key column %d has %d rows, input has %d", k, key.Len(), in.NumRows)
 		}
 	}
+	sp := obs.SpanFromContext(o.Ctx)
 	c := newScanCtl(o)
 	if !c.next(0) { // already-cancelled contexts never start scanning
 		return nil, abortErr(c)
@@ -240,12 +237,12 @@ func GroupBy(in GroupInput, opts ...Option) ([]Group, error) {
 	var err error
 	if !o.Vectorized {
 		invokeScalar.Inc()
-		scan := o.Span.Start("exec.scan")
+		scan := sp.Start("exec.scan")
 		scan.Annotate("rows", in.NumRows)
 		groups, err = groupScalar(in, c)
 		scan.End()
 	} else {
-		groups, err = groupVectorized(in, o, c)
+		groups, err = groupVectorized(in, o, c, sp)
 	}
 	if err != nil {
 		return nil, err
@@ -253,7 +250,7 @@ func GroupBy(in GroupInput, opts ...Option) ([]Group, error) {
 	if !c.next(0) {
 		return nil, abortErr(c)
 	}
-	sortSp := o.Span.Start("exec.sort")
+	sortSp := sp.Start("exec.sort")
 	sort.Slice(groups, func(a, b int) bool {
 		return CompareTuples(groups[a].Tuple, groups[b].Tuple) < 0
 	})
@@ -408,20 +405,20 @@ func workerCount(numRows int, o Options) int {
 	return p
 }
 
-func groupVectorized(in GroupInput, o Options, c *scanCtl) ([]Group, error) {
+func groupVectorized(in GroupInput, o Options, c *scanCtl, sp *obs.Span) ([]Group, error) {
 	layout := layoutFor(in.Keys)
 	workers := workerCount(in.NumRows, o)
 	metricWorkers.Observe(float64(workers))
 	switch {
 	case layout.packable && layout.total <= maxDenseBits:
 		invokeDense.Inc()
-		return groupDense(in, layout, workers, c, o.Span)
+		return groupDense(in, layout, workers, c, sp)
 	case layout.packable:
 		invokeHashed.Inc()
-		return groupHashed(in, layout, workers, c, o.Span)
+		return groupHashed(in, layout, workers, c, sp)
 	default:
 		invokeWide.Inc()
-		return groupWide(in, workers, c, o.Span)
+		return groupWide(in, workers, c, sp)
 	}
 }
 

@@ -95,10 +95,6 @@ func (s *soakPlatform) QueryMDXCtx(ctx context.Context, src string) (*cube.CellS
 	return s.Platform.QueryMDXCtx(ctx, src)
 }
 
-func (s *soakPlatform) QueryMDX(src string) (*cube.CellSet, error) {
-	return s.QueryMDXCtx(context.Background(), src)
-}
-
 // RunSoak drives one overload soak against p and returns the census.
 func RunSoak(p *core.Platform, cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Streams <= 0 || cfg.Requests <= 0 {

@@ -8,6 +8,7 @@ package experiments
 // (mixed kinds, NA coordinates, non-additive aggregates).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -79,11 +80,11 @@ func TestVectorizedCubeMatchesPaperFigures(t *testing.T) {
 	}
 
 	for name, q := range queries {
-		got, err := vec.Execute(q)
+		got, err := vec.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s vectorized: %v", name, err)
 		}
-		want, err := legacy.Execute(q)
+		want, err := legacy.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s legacy: %v", name, err)
 		}

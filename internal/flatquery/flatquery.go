@@ -39,29 +39,22 @@ type Result struct {
 	AggName string
 }
 
-// Execute answers the query with a single filtered scan on the shared
+// ExecuteCtx answers the query with a single filtered scan on the shared
 // execution kernel: no warehouse, no bitmap indexes, no aggregate caching.
 // Filters are evaluated as allowed-code sets over each column's cached
 // dictionary (one set lookup per row instead of per-row value equality),
 // and no intermediate filtered table is materialised. Rows with NA in any
-// grouping column are dropped, matching the cube engine's default. Extra
-// opts (e.g. exec.WithVectorized(false)) select the kernel path.
-func Execute(t *storage.Table, q Query, opts ...exec.Option) (*Result, error) {
-	return ExecuteTraced(t, q, nil, opts...)
-}
-
-// ExecuteCtx is Execute under a caller context: the kernel scan checks
-// ctx cooperatively and charges any govern.Budget it carries, so a
-// cancelled or over-budget baseline scan stops mid-flight.
+// grouping column are dropped, matching the cube engine's default.
+//
+// The kernel scan checks ctx cooperatively and charges any
+// govern.Budget it carries, so a cancelled or over-budget baseline scan
+// stops mid-flight. A span the context carries (obs.ContextWithSpan)
+// receives flatquery.compile for filter compilation, then the kernel's
+// phases under flatquery.group. Kernel opts (e.g.
+// exec.WithVectorized(false)) select the kernel path; ctx supersedes any
+// exec.WithContext among them.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opts ...exec.Option) (*Result, error) {
-	opts = append(opts[:len(opts):len(opts)], exec.WithContext(ctx))
-	return ExecuteTraced(t, q, nil, opts...)
-}
-
-// ExecuteTraced is Execute with per-stage spans (flatquery.compile for
-// filter compilation, then the kernel's phases under flatquery.group)
-// hung beneath sp. A nil sp traces nothing.
-func ExecuteTraced(t *storage.Table, q Query, sp *obs.Span, opts ...exec.Option) (*Result, error) {
+	sp := obs.SpanFromContext(ctx)
 	type codeFilter struct {
 		codes   []uint32
 		allowed []bool // indexed by dictionary code
@@ -115,9 +108,7 @@ func ExecuteTraced(t *storage.Table, q Query, sp *obs.Span, opts ...exec.Option)
 
 	aggName := "agg"
 	groupSp := sp.Start("flatquery.group")
-	if groupSp != nil {
-		opts = append(opts[:len(opts):len(opts)], exec.WithSpan(groupSp))
-	}
+	opts = append(opts[:len(opts):len(opts)], exec.WithContext(obs.ContextWithSpan(ctx, groupSp)))
 	grouped, err := t.GroupByFiltered(groupCols, []storage.AggSpec{
 		{Kind: q.Agg, Column: q.Measure, As: aggName},
 	}, pred, opts...)

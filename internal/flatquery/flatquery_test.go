@@ -1,8 +1,11 @@
 package flatquery
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
+	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
@@ -33,7 +36,7 @@ func flatTable(t *testing.T) *storage.Table {
 }
 
 func TestExecuteCount(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows: []string{"Band"},
 		Cols: []string{"Gender"},
 		Agg:  storage.CountAgg,
@@ -54,7 +57,7 @@ func TestExecuteCount(t *testing.T) {
 }
 
 func TestExecuteFilteredAvg(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows:    []string{"Gender"},
 		Filters: []Filter{{Column: "Diabetes", Values: []value.Value{value.Str("Yes")}}},
 		Agg:     storage.AvgAgg,
@@ -89,14 +92,14 @@ func TestExecuteErrors(t *testing.T) {
 		{Rows: []string{"Gender"}, Agg: storage.SumAgg}, // sum without measure
 	}
 	for i, q := range cases {
-		if _, err := Execute(tbl, q); err == nil {
+		if _, err := ExecuteCtx(context.Background(), tbl, q); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
 func TestMultiValueFilter(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows:    []string{"Diabetes"},
 		Filters: []Filter{{Column: "Gender", Values: []value.Value{value.Str("M"), value.Str("F")}}},
 		Agg:     storage.CountAgg,
@@ -106,5 +109,49 @@ func TestMultiValueFilter(t *testing.T) {
 	}
 	if r.Total() != 4 {
 		t.Errorf("total = %g", r.Total())
+	}
+}
+
+// TestExecuteSpans: a span in the context receives flatquery.compile and
+// flatquery.group, with the kernel's scan under the group stage, and
+// tracing does not change the answer.
+func TestExecuteSpans(t *testing.T) {
+	tbl := flatTable(t)
+	q := Query{
+		Rows:    []string{"Band"},
+		Cols:    []string{"Gender"},
+		Filters: []Filter{{Column: "Diabetes", Values: []value.Value{value.Str("Yes")}}},
+		Agg:     storage.AvgAgg,
+		Measure: "FBG",
+	}
+	plain, err := ExecuteCtx(context.Background(), tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1).StartTrace("query")
+	traced, err := ExecuteCtx(obs.ContextWithSpan(context.Background(), tr.Root()), tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.Doc().Root
+	for _, name := range []string{"flatquery.compile", "flatquery.group", "exec.scan"} {
+		if _, ok := root.FindSpan(name); !ok {
+			t.Errorf("span %q missing from trace", name)
+		}
+	}
+	group, _ := root.FindSpan("flatquery.group")
+	if _, ok := group.FindSpan("exec.scan"); !ok {
+		t.Error("exec.scan not nested under flatquery.group")
+	}
+	var a, b bytes.Buffer
+	if err := plain.Grouped.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := traced.Grouped.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("traced result differs:\n%s\nwant:\n%s", b.String(), a.String())
 	}
 }

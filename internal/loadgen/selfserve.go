@@ -160,11 +160,6 @@ func (d *delayed) RecordFinding(topic, statement, source string) (string, error)
 	return d.Platform.RecordFinding(topic, statement, source)
 }
 
-func (d *delayed) QueryMDX(src string) (*cube.CellSet, error) {
-	time.Sleep(d.d)
-	return d.Platform.QueryMDX(src)
-}
-
 func (d *delayed) QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error) {
 	if err := d.sleep(ctx); err != nil {
 		return nil, err

@@ -37,32 +37,18 @@ func (ev *Evaluator) RegisterMeasure(name string, m cube.MeasureRef) {
 	ev.measures[strings.ToLower(name)] = m
 }
 
-// Query parses and executes an MDX query string.
-func (ev *Evaluator) Query(src string) (*cube.CellSet, error) {
-	return ev.QueryTracedCtx(context.Background(), src, nil)
-}
-
-// QueryCtx is Query under a caller context: a cancelled or over-budget
-// context stops the cube scan mid-flight with no partial result.
+// QueryCtx parses and executes an MDX query string under a caller
+// context: a cancelled or over-budget context stops the cube scan
+// mid-flight with no partial result, and a span the context carries
+// (obs.ContextWithSpan) receives mdx.parse and the cube engine's stages.
 func (ev *Evaluator) QueryCtx(ctx context.Context, src string) (*cube.CellSet, error) {
-	return ev.QueryTracedCtx(ctx, src, nil)
-}
-
-// QueryTraced is Query with stage spans (mdx.parse, then the cube
-// engine's stages) hung under sp. A nil sp traces nothing.
-func (ev *Evaluator) QueryTraced(src string, sp *obs.Span) (*cube.CellSet, error) {
-	return ev.QueryTracedCtx(context.Background(), src, sp)
-}
-
-// QueryTracedCtx combines QueryCtx and QueryTraced.
-func (ev *Evaluator) QueryTracedCtx(ctx context.Context, src string, sp *obs.Span) (*cube.CellSet, error) {
-	parse := sp.Start("mdx.parse")
+	parse := obs.SpanFromContext(ctx).Start("mdx.parse")
 	q, err := Parse(src)
 	parse.End()
 	if err != nil {
 		return nil, err
 	}
-	return ev.ExecuteTracedCtx(ctx, q, sp)
+	return ev.ExecuteCtx(ctx, q)
 }
 
 // axisBinding is the cube-level meaning of one axis: attribute refs, the
@@ -80,24 +66,10 @@ type namedMeasure struct {
 	ref  cube.MeasureRef
 }
 
-// Execute runs a parsed query against the engine.
-func (ev *Evaluator) Execute(q *QueryExpr) (*cube.CellSet, error) {
-	return ev.ExecuteTracedCtx(context.Background(), q, nil)
-}
-
-// ExecuteCtx is Execute under a caller context (see QueryCtx).
-func (ev *Evaluator) ExecuteCtx(ctx context.Context, q *QueryExpr) (*cube.CellSet, error) {
-	return ev.ExecuteTracedCtx(ctx, q, nil)
-}
-
-// ExecuteTraced runs a parsed query against the engine, threading sp
+// ExecuteCtx runs a parsed query against the engine under a caller
+// context (see QueryCtx), which carries cancellation, budget and span
 // down to the cube engine and execution kernel.
-func (ev *Evaluator) ExecuteTraced(q *QueryExpr, sp *obs.Span) (*cube.CellSet, error) {
-	return ev.ExecuteTracedCtx(context.Background(), q, sp)
-}
-
-// ExecuteTracedCtx combines ExecuteCtx and ExecuteTraced.
-func (ev *Evaluator) ExecuteTracedCtx(ctx context.Context, q *QueryExpr, sp *obs.Span) (*cube.CellSet, error) {
+func (ev *Evaluator) ExecuteCtx(ctx context.Context, q *QueryExpr) (*cube.CellSet, error) {
 	if !strings.EqualFold(q.CubeRef, ev.cubeName) {
 		return nil, fmt.Errorf("mdx: unknown cube %q (have %q)", q.CubeRef, ev.cubeName)
 	}
@@ -144,7 +116,7 @@ func (ev *Evaluator) ExecuteTracedCtx(ctx context.Context, q *QueryExpr, sp *obs
 	allMeasures := append(append([]namedMeasure{}, colBinding.measures...), rowBinding.measures...)
 	switch {
 	case len(allMeasures) > 1:
-		cs, err = ev.executeMultiMeasure(ctx, cq, colBinding, rowBinding, sp)
+		cs, err = ev.executeMultiMeasure(ctx, cq, colBinding, rowBinding)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +124,7 @@ func (ev *Evaluator) ExecuteTracedCtx(ctx context.Context, q *QueryExpr, sp *obs
 		if len(allMeasures) == 1 {
 			cq.Measure = allMeasures[0].ref
 		}
-		cs, err = ev.engine.ExecuteTracedCtx(ctx, cq, sp)
+		cs, err = ev.engine.ExecuteCtx(ctx, cq)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +147,7 @@ func (ev *Evaluator) ExecuteTracedCtx(ctx context.Context, q *QueryExpr, sp *obs
 // executeMultiMeasure answers a query whose axis lists several measures:
 // the axis carrying the measures must hold nothing else, and becomes one
 // position per measure.
-func (ev *Evaluator) executeMultiMeasure(ctx context.Context, cq cube.Query, colB, rowB *axisBinding, sp *obs.Span) (*cube.CellSet, error) {
+func (ev *Evaluator) executeMultiMeasure(ctx context.Context, cq cube.Query, colB, rowB *axisBinding) (*cube.CellSet, error) {
 	var measures []namedMeasure
 	var onCols bool
 	switch {
@@ -197,7 +169,7 @@ func (ev *Evaluator) executeMultiMeasure(ctx context.Context, cq cube.Query, col
 	for _, m := range measures {
 		q := cq
 		q.Measure = m.ref
-		cs, err := ev.engine.ExecuteTracedCtx(ctx, q, sp)
+		cs, err := ev.engine.ExecuteCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}

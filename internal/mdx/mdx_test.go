@@ -1,6 +1,7 @@
 package mdx
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestParseErrors(t *testing.T) {
 func TestQueryFig4Style(t *testing.T) {
 	// Family-history-style crosstab: age band × gender under a slicer.
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
 		{[Personal].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]
 		WHERE ([Condition].[Diabetes].[Yes], [Measures].[PatientCount])`)
@@ -132,7 +133,7 @@ func TestQueryFig4Style(t *testing.T) {
 
 func TestQueryExplicitMemberList(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Personal].[Gender].[M]} ON COLUMNS FROM [MedicalMeasures]`)
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].[M]} ON COLUMNS FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestQueryExplicitMemberList(t *testing.T) {
 		t.Errorf("M count = %v", cs.Cell(0, 0))
 	}
 	// Multi-member list.
-	cs, err = ev.Query(`SELECT {[Personal].[Gender].[M], [Personal].[Gender].[F]} ON COLUMNS FROM [MedicalMeasures]`)
+	cs, err = ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].[M], [Personal].[Gender].[F]} ON COLUMNS FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestQueryExplicitMemberList(t *testing.T) {
 
 func TestQueryCrossJoin(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT CROSSJOIN({[Personal].[Gender].MEMBERS}, {[Condition].[Diabetes].MEMBERS}) ON COLUMNS
+	cs, err := ev.QueryCtx(context.Background(), `SELECT CROSSJOIN({[Personal].[Gender].MEMBERS}, {[Condition].[Diabetes].MEMBERS}) ON COLUMNS
 		FROM [MedicalMeasures] WHERE [Measures].[Visits]`)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func colLabels(cs *cube.CellSet) []string {
 
 func TestQueryMeasureOnAxis(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Measures].[AvgFBG]} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Measures].[AvgFBG]} ON COLUMNS,
 		{[Condition].[Diabetes].MEMBERS} ON ROWS FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestQueryMeasureOnAxis(t *testing.T) {
 
 func TestQueryIntMemberValue(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Cardinality].[PatientID].[1]} ON COLUMNS FROM [MedicalMeasures]`)
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Cardinality].[PatientID].[1]} ON COLUMNS FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestNonEmpty(t *testing.T) {
 	ev := testEvaluator(t)
 	// Without the diabetes slicer all bands appear; NON EMPTY prunes rows
 	// that end up all-NA under a slicer.
-	cs, err := ev.Query(`SELECT {[Personal].[Gender].[F]} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].[F]} ON COLUMNS,
 		NON EMPTY {[Personal].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures] WHERE [Condition].[Diabetes].[Yes]`)
 	if err != nil {
@@ -234,7 +235,7 @@ func TestEvalErrors(t *testing.T) {
 		`SELECT {[Personal].[Gender].[M].[extra].[deep]} ON COLUMNS FROM [MedicalMeasures]`,                // path too long
 	}
 	for _, src := range cases {
-		if _, err := ev.Query(src); err == nil {
+		if _, err := ev.QueryCtx(context.Background(), src); err == nil {
 			t.Errorf("Query(%q) should fail", src)
 		}
 	}
@@ -242,7 +243,7 @@ func TestEvalErrors(t *testing.T) {
 
 func TestCaseInsensitiveKeywords(t *testing.T) {
 	ev := testEvaluator(t)
-	if _, err := ev.Query(`select {[Personal].[Gender].members} on columns from [MedicalMeasures] where [Measures].[visits]`); err != nil {
+	if _, err := ev.QueryCtx(context.Background(), `select {[Personal].[Gender].members} on columns from [MedicalMeasures] where [Measures].[visits]`); err != nil {
 		t.Errorf("lower-case keywords: %v", err)
 	}
 }

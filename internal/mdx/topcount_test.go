@@ -1,12 +1,13 @@
 package mdx
 
 import (
+	"context"
 	"testing"
 )
 
 func TestTopCount(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
 		TOPCOUNT({[Personal].[AgeBand10].MEMBERS}, 1) ON ROWS
 		FROM [MedicalMeasures]`)
 	if err != nil {
@@ -23,7 +24,7 @@ func TestTopCount(t *testing.T) {
 
 func TestTopCountLargerThanAxis(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT TOPCOUNT({[Personal].[AgeBand10].MEMBERS}, 99) ON COLUMNS
+	cs, err := ev.QueryCtx(context.Background(), `SELECT TOPCOUNT({[Personal].[AgeBand10].MEMBERS}, 99) ON COLUMNS
 		FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestTopCountParseErrors(t *testing.T) {
 
 func TestMultiMeasureColumns(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Measures].[PatientCount], [Measures].[AvgFBG], [Measures].[Visits]} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Measures].[PatientCount], [Measures].[AvgFBG], [Measures].[Visits]} ON COLUMNS,
 		{[Condition].[Diabetes].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]`)
 	if err != nil {
@@ -84,7 +85,7 @@ func TestMultiMeasureColumns(t *testing.T) {
 
 func TestMultiMeasureRows(t *testing.T) {
 	ev := testEvaluator(t)
-	cs, err := ev.Query(`SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := ev.QueryCtx(context.Background(), `SELECT {[Personal].[Gender].MEMBERS} ON COLUMNS,
 		{[Measures].[PatientCount], [Measures].[Visits]} ON ROWS
 		FROM [MedicalMeasures]`)
 	if err != nil {
@@ -108,7 +109,7 @@ func TestMultiMeasureErrors(t *testing.T) {
 		 {[Measures].[AvgFBG], [Measures].[Visits]} ON ROWS FROM [MedicalMeasures]`,
 	}
 	for _, src := range cases {
-		if _, err := ev.Query(src); err == nil {
+		if _, err := ev.QueryCtx(context.Background(), src); err == nil {
 			t.Errorf("Query(%q) should fail", src)
 		}
 	}

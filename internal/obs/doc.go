@@ -39,11 +39,13 @@
 // start/duration (time.Time's monotonic reading, so wall-clock steps
 // cannot corrupt timings), optional key/value annotations, and child
 // spans. Starting a child of a nil span returns nil, and every method
-// of a nil *Span or *Trace is a no-op — instrumented code threads one
-// optional parent span through and pays only a nil check when tracing
-// is off. The server starts a trace per /query, the MDX evaluator, cube
-// engine and execution kernel hang their stage spans under it
-// (mdx.parse → cube.group → exec.scan/exec.merge), and the finished
-// tree is served as JSON on /debug/traces and, when the client asks
-// with ?trace=1, attached to the query response itself.
+// of a nil *Span or *Trace is a no-op — instrumented code reads its
+// optional parent span from the query context (SpanFromContext) and
+// pays only a nil check when tracing is off. The server starts a trace
+// per /query; for ?trace=1 it puts the root span into the query context
+// (ContextWithSpan), the MDX evaluator, cube engine and execution
+// kernel hang their stage spans under it (mdx.parse → cube.group →
+// exec.scan/exec.merge), and the finished tree is attached to the
+// query response. Every trace, stage spans or not, is served as JSON
+// on /debug/traces.
 package obs

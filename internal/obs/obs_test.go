@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -253,6 +254,43 @@ func TestNilSafety(t *testing.T) {
 	tr.Finish()
 	if docs := tracer.Recent(); docs != nil {
 		t.Errorf("nil tracer Recent = %v", docs)
+	}
+}
+
+// TestSpanContext: a span travels in the context, a nil span leaves the
+// context untouched (no allocation on the untraced path), and a context
+// without a span reads back as the nil no-op span.
+func TestSpanContext(t *testing.T) {
+	ctx := context.Background()
+	if got := ContextWithSpan(ctx, nil); got != ctx {
+		t.Error("ContextWithSpan(ctx, nil) did not return ctx unchanged")
+	}
+	if sp := SpanFromContext(ctx); sp != nil {
+		t.Errorf("span from bare context = %v, want nil", sp)
+	}
+	if sp := SpanFromContext(nil); sp != nil {
+		t.Errorf("span from nil context = %v, want nil", sp)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ContextWithSpan(ctx, nil) }); n != 0 {
+		t.Errorf("untraced ContextWithSpan allocates %v times", n)
+	}
+
+	tr := NewTracer(1).StartTrace("query")
+	parent := ContextWithSpan(ctx, tr.Root())
+	if SpanFromContext(parent) != tr.Root() {
+		t.Fatal("span did not round-trip through the context")
+	}
+	stage := SpanFromContext(parent).Start("stage")
+	child := ContextWithSpan(parent, stage)
+	SpanFromContext(child).Start("kernel").End()
+	stage.End()
+	tr.Finish()
+	got, ok := tr.Doc().Root.FindSpan("stage")
+	if !ok {
+		t.Fatal("stage span missing")
+	}
+	if _, ok := got.FindSpan("kernel"); !ok {
+		t.Error("kernel span not nested under the stage span passed down in the context")
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -67,6 +68,29 @@ func (sp *Span) Annotate(key string, val any) {
 	sp.mu.Lock()
 	sp.attrs = append(sp.attrs, attr{key: key, val: val})
 	sp.mu.Unlock()
+}
+
+// spanKey is the context key under which ContextWithSpan stores a span.
+type spanKey struct{}
+
+// ContextWithSpan returns a context carrying sp as the parent span for
+// the stages run under it. A nil sp returns ctx unchanged, so an
+// untraced query allocates nothing.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFromContext returns the span ctx carries, or nil — the no-op span
+// — when it carries none or ctx itself is nil.
+func SpanFromContext(ctx context.Context) *Span {
+	if ctx == nil {
+		return nil
+	}
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // Trace is one query's span tree plus its identity in the ring buffer.

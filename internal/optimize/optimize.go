@@ -11,6 +11,7 @@
 package optimize
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -64,7 +65,7 @@ func ValidateStability(e *cube.Engine, base cube.Query, candidates []cube.AttrRe
 	if tolerance < 0 {
 		return nil, fmt.Errorf("optimize: negative tolerance")
 	}
-	baseCS, err := e.Execute(base)
+	baseCS, err := e.ExecuteCtx(context.TODO(), base)
 	if err != nil {
 		return nil, fmt.Errorf("optimize: base query: %w", err)
 	}
@@ -88,7 +89,7 @@ func ValidateStability(e *cube.Engine, base cube.Query, candidates []cube.AttrRe
 		// Keep missing-coordinate facts visible so the roll-up is exact; we
 		// separately measure how much mass has a missing candidate value.
 		fine.IncludeMissing = true
-		fineCS, err := e.Execute(fine)
+		fineCS, err := e.ExecuteCtx(context.TODO(), fine)
 		if err != nil {
 			return nil, fmt.Errorf("optimize: candidate %s: %w", cand, err)
 		}

@@ -289,6 +289,15 @@ func (f *Follower) run() {
 			continue
 		}
 		f.mu.Lock()
+		select {
+		case <-f.done:
+			// Close ran while we were dialing and found no conn to
+			// close; a session started now would never be interrupted.
+			f.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		f.conn = conn
 		f.connected = true
 		f.mu.Unlock()

@@ -241,9 +241,28 @@ func TestFollowerRestartResumesWithoutResync(t *testing.T) {
 	}
 }
 
+// commitUntilFired keeps committing two-row batches (ids from seed up)
+// until the armed fault has fired. faultnet counts one operation per
+// Read/Write call, and how many calls a session makes depends on how TCP
+// coalesces its frames, so a fixed workload reaches a given operation
+// only some of the time; a fault that never fires within the deadline
+// fails the test rather than letting it pass untested.
+func commitUntilFired(t *testing.T, s *oltp.Store, fault *faultnet.Fault, seed int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ; !fault.Fired(); seed += 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("armed fault never fired (%d ops seen)", fault.Ops())
+		}
+		commitN(t, s, 2, seed)
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFaultSweep arms every faultnet mode at a range of operation
 // numbers on the follower's connections and checks reconvergence with
-// byte-identical state after each.
+// byte-identical state after each. The primary keeps committing until
+// the armed fault has fired (commitUntilFired).
 func TestFaultSweep(t *testing.T) {
 	modes := []faultnet.Mode{faultnet.Drop, faultnet.Partial, faultnet.Corrupt, faultnet.Stall}
 	for _, mode := range modes {
@@ -271,11 +290,9 @@ func TestFaultSweep(t *testing.T) {
 				f := startFollower(t, cfg)
 				waitReady(t, f)
 				commitN(t, ps, 20, 100)
+				commitUntilFired(t, ps, fault, 1000)
 				waitConverged(t, ps, f)
 				sameState(t, ps, fstore)
-				if !fault.Fired() {
-					t.Skipf("fault at op %d never reached (session used fewer ops)", at)
-				}
 			})
 		}
 	}

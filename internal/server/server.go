@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"github.com/ddgms/ddgms/internal/cube"
+	"github.com/ddgms/ddgms/internal/flatquery"
 	"github.com/ddgms/ddgms/internal/govern"
 	"github.com/ddgms/ddgms/internal/kb"
 	"github.com/ddgms/ddgms/internal/obs"
@@ -49,14 +50,25 @@ import (
 	"github.com/ddgms/ddgms/internal/refresh"
 	"github.com/ddgms/ddgms/internal/repl"
 	"github.com/ddgms/ddgms/internal/star"
+	"github.com/ddgms/ddgms/internal/storage"
 )
 
 // Platform is the surface the server needs from a DD-DGMS instance.
 // *core.Platform satisfies it; tests substitute wrappers (e.g. a
 // deliberately slow cube) to exercise degradation paths.
+//
+// Each query language has one entry point, and it takes the query
+// context: a timeout, client disconnect or server shutdown cancels the
+// scan inside the execution kernel, the context's govern.Budget is
+// charged as it runs, and for ?trace=1 the context carries the trace's
+// root span (obs.ContextWithSpan). A wrapper that overrides one of these
+// methods therefore intercepts every request in that language, traced
+// or not.
 type Platform interface {
 	Warehouse() *star.Schema
-	QueryMDX(src string) (*cube.CellSet, error)
+	QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error)
+	QuerySQLCtx(ctx context.Context, src string) (*storage.Table, error)
+	QueryFlatCtx(ctx context.Context, q flatquery.Query) (*flatquery.Result, error)
 	KB() *kb.Base
 	RecordFinding(topic, statement, source string) (string, error)
 	Store() *oltp.Store
@@ -99,29 +111,6 @@ type PromoteListenDefaulter interface {
 // platforms without it fall back to mutating the in-memory base.
 type FindingsReinforcer interface {
 	ReinforceFinding(id string) error
-}
-
-// TracedQuerier is the optional platform surface behind ?trace=1.
-// It is checked only for traced requests, so a test wrapper that
-// overrides QueryMDX (but embeds a type promoting QueryMDXTraced) still
-// intercepts every untraced query.
-type TracedQuerier interface {
-	QueryMDXTraced(src string, sp *obs.Span) (*cube.CellSet, error)
-}
-
-// CtxQuerier is the optional context-aware query surface. When the
-// platform implements it (as *core.Platform does), /query evaluates
-// inline under the request context: a timeout, client disconnect or
-// server shutdown cancels the scan inside the execution kernel instead
-// of abandoning a goroutine that keeps burning CPU to completion.
-type CtxQuerier interface {
-	QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error)
-}
-
-// TracedCtxQuerier combines CtxQuerier and TracedQuerier for ?trace=1
-// requests.
-type TracedCtxQuerier interface {
-	QueryMDXTracedCtx(ctx context.Context, src string, sp *obs.Span) (*cube.CellSet, error)
 }
 
 // Option customises a Server.
@@ -553,25 +542,6 @@ var errQueryPanic = fmt.Errorf("query panicked")
 // the body.
 const statusClientClosedRequest = 499
 
-// evalQuery dispatches one MDX evaluation to the richest surface the
-// platform offers. Context-aware surfaces are preferred — they make the
-// query actually cancellable — with graceful fallback for platforms (or
-// test doubles) that only implement the plain interface.
-func (s *Server) evalQuery(ctx context.Context, src string, wantTrace bool, root *obs.Span) (*cube.CellSet, error) {
-	if wantTrace {
-		if tq, ok := s.platform.(TracedCtxQuerier); ok {
-			return tq.QueryMDXTracedCtx(ctx, src, root)
-		}
-		if tq, ok := s.platform.(TracedQuerier); ok {
-			return tq.QueryMDXTraced(src, root)
-		}
-	}
-	if cq, ok := s.platform.(CtxQuerier); ok {
-		return cq.QueryMDXCtx(ctx, src)
-	}
-	return s.platform.QueryMDX(src)
-}
-
 // governedEval is one query-shaped evaluation running under the
 // governance pipeline: it returns the 200 response document, or an
 // error the shared status mapping in runGoverned translates.
@@ -701,15 +671,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Tracing is opt-in per request. The platform's traced surface is
-	// consulted only for traced requests, so test doubles overriding
-	// QueryMDX keep intercepting everything else.
+	// Every query leaves a trace in the ring buffer, but stage spans are
+	// opt-in per request: only ?trace=1 puts the root span into the query
+	// context, so an untraced query's stages each pay one nil check.
 	wantTrace := r.URL.Query().Get("trace") == "1"
 	s.runGoverned(w, r, "/query", func(ctx context.Context) (any, error) {
 		tr := s.tracer.StartTrace("query")
 		tr.Root().Annotate("mdx", req.MDX)
 		defer tr.Finish() // also on panic, so the ring keeps the partial trace
-		cs, err := s.evalQuery(ctx, req.MDX, wantTrace, tr.Root())
+		if wantTrace {
+			ctx = obs.ContextWithSpan(ctx, tr.Root())
+		}
+		cs, err := s.platform.QueryMDXCtx(ctx, req.MDX)
 		if err != nil {
 			return nil, err
 		}

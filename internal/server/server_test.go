@@ -62,17 +62,11 @@ func (p *slowPlatform) QueryMDXCtx(ctx context.Context, src string) (*cube.CellS
 	return p.Platform.QueryMDXCtx(ctx, src)
 }
 
-func (p *slowPlatform) QueryMDX(src string) (*cube.CellSet, error) {
-	return p.QueryMDXCtx(context.Background(), src)
-}
-
 // panicPlatform blows up in the evaluator or in the schema handler.
 type panicPlatform struct {
 	*core.Platform
 	panicWarehouse bool
 }
-
-func (p *panicPlatform) QueryMDX(string) (*cube.CellSet, error) { panic("cube exploded") }
 
 func (p *panicPlatform) QueryMDXCtx(context.Context, string) (*cube.CellSet, error) {
 	panic("cube exploded")
@@ -169,6 +163,24 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	if !strings.Contains(errBody.Error, "timed out") {
 		t.Errorf("error = %q", errBody.Error)
+	}
+}
+
+// TestTracedQueryHonoursWrapper: ?trace=1 carries its span in the query
+// context, so a wrapper that overrides only QueryMDXCtx intercepts traced
+// requests too — the slow wrapper times out and the panicking one answers
+// 500, instead of the embedded platform answering 200.
+func TestTracedQueryHonoursWrapper(t *testing.T) {
+	quiet := log.New(io.Discard, "", 0)
+	base := testPlatform(t)
+	slow := serveHandler(t, New(&slowPlatform{Platform: base, delay: 300 * time.Millisecond},
+		WithQueryTimeout(30*time.Millisecond), WithLogger(quiet)))
+	if code := postJSON(t, slow.URL+"/query?trace=1", queryRequest{MDX: genderMDX}, nil); code != http.StatusGatewayTimeout {
+		t.Errorf("traced query through slow wrapper: status = %d, want 504", code)
+	}
+	panicky := serveHandler(t, New(&panicPlatform{Platform: base}, WithLogger(quiet)))
+	if code := postJSON(t, panicky.URL+"/query?trace=1", queryRequest{MDX: genderMDX}, nil); code != http.StatusInternalServerError {
+		t.Errorf("traced query through panicking wrapper: status = %d, want 500", code)
 	}
 }
 

@@ -147,7 +147,9 @@ type AggSpec struct {
 // Grouping runs on the shared execution kernel: key columns are
 // dictionary-encoded (cached on the column), groups are keyed on packed
 // integer codes and aggregated in parallel. Pass
-// exec.WithVectorized(false) for the legacy single-goroutine scalar path.
+// exec.WithVectorized(false) for the legacy single-goroutine scalar path,
+// and exec.WithContext(ctx) for cancellation, budget charging and, when
+// ctx carries a span (obs.ContextWithSpan), the kernel's phase spans.
 func (t *Table) GroupBy(keys []string, aggs []AggSpec, opts ...exec.Option) (*Table, error) {
 	return t.GroupByFiltered(keys, aggs, nil, opts...)
 }

@@ -11,6 +11,9 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== ddbench module (vet + build; the root ./... does not include it)"
+(cd ddbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 
